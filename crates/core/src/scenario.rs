@@ -61,9 +61,14 @@ fn stream_block(num_polys: usize, num_locals: usize) -> usize {
     }
 }
 
-/// Exact-vs-approximate probe scenarios per `f64` fold-sweep: evenly
-/// spaced grid points re-evaluated on the exact engines to measure the
-/// divergence of the `f64` fast path (see [`F64Divergence`]).
+/// Exact-vs-approximate probe scenarios per `f64` fold-sweep: the
+/// scenarios `k·(n−1)/(F64_PROBES−1)` for `k < F64_PROBES` (deduplicated
+/// when `n` is smaller), re-evaluated on the exact engines to measure the
+/// divergence of the `f64` fast path (see [`F64Divergence`]). The sweep
+/// engines defer them: the block loop keeps each probe's `f64` rows, and
+/// the exact rows are evaluated together when the pass ends — one
+/// fixed-point lane pass per side, the count matching the kernel's lane
+/// width ([`cobra_provenance::FIXED_LANES`]).
 pub const F64_PROBES: usize = 16;
 
 /// One streamed scenario handed to a fold: the scenario's index in the
@@ -93,8 +98,14 @@ impl<C> Copy for FoldItem<'_, C> {}
 
 /// Measured divergence of an approximate (`f64`) fold-sweep from the
 /// exact path: up to [`F64_PROBES`] evenly spaced scenarios are re-bound
-/// and re-evaluated on the exact `Rat` engines, and the largest relative
-/// deviation over both sides and all result tuples is recorded. This is
+/// and re-evaluated on the exact engines, and the largest relative
+/// deviation over both sides and all result tuples is recorded. The
+/// probes are deferred and batched — their `f64` rows are kept as the
+/// sweep folds them, and each pass (a sequential sweep or one worker's
+/// span) evaluates its probes' exact rows in one lane pass when it
+/// ends — so a partial sweep still records exactly the probes inside its
+/// completed prefix, and the record is bit-identical at any thread
+/// count. This is
 /// an *empirical spot check* of floating-point rounding (coefficients,
 /// binding and evaluation all round), not a proven worst-case bound —
 /// for SPJ-style provenance with well-scaled coefficients it sits at the
@@ -139,6 +150,84 @@ fn f64_probe_indices(n: usize) -> Vec<usize> {
         .collect();
     p.dedup();
     p
+}
+
+/// The divergence probes of one `f64` pass — a whole sequential sweep or
+/// one worker's span — deferred out of the block loop. The loop only
+/// copies each probe scenario's `f64` result rows
+/// ([`capture`](Self::capture)) into buffers sized once for
+/// [`F64_PROBES`] rows per side; when the pass ends,
+/// [`finish`](Self::finish) binds the exact rows of the probes it
+/// actually folded and evaluates each side in one lane pass of the exact
+/// kernel. A stopped pass therefore records exactly the probes inside
+/// its completed prefix, as an inline probe would.
+struct DeferredProbes<'p> {
+    /// Every probe index of the sweep, ascending.
+    indices: &'p [usize],
+    /// Position in `indices` of the next probe this pass can meet.
+    next: usize,
+    /// The probe scenarios captured so far, ascending.
+    scenarios: Vec<usize>,
+    full: Vec<f64>,
+    compressed: Vec<f64>,
+}
+
+impl<'p> DeferredProbes<'p> {
+    fn new(indices: &'p [usize], num_polys: usize) -> DeferredProbes<'p> {
+        DeferredProbes {
+            indices,
+            next: 0,
+            scenarios: Vec::with_capacity(indices.len()),
+            full: Vec::with_capacity(indices.len() * num_polys),
+            compressed: Vec::with_capacity(indices.len() * num_polys),
+        }
+    }
+
+    /// Starts a pass whose first scenario is `start`.
+    fn begin(&mut self, start: usize) {
+        self.next = self.indices.partition_point(|&p| p < start);
+    }
+
+    /// Keeps scenario `i`'s `f64` rows when `i` is the next probe.
+    fn capture(&mut self, i: usize, full: &[f64], compressed: &[f64]) {
+        if self.indices.get(self.next) == Some(&i) {
+            self.next += 1;
+            self.scenarios.push(i);
+            self.full.extend_from_slice(full);
+            self.compressed.extend_from_slice(compressed);
+        }
+    }
+
+    /// Evaluates the captured probes exactly (`use_fixed` is the caller's
+    /// resolved exact-kernel choice) and records their divergence.
+    fn finish(
+        &self,
+        binder: &mut PairBinder<'_>,
+        engines: &CompiledComparison,
+        use_fixed: bool,
+    ) -> F64Divergence {
+        let k = self.scenarios.len();
+        let mut divergence = F64Divergence {
+            probed: k,
+            ..F64Divergence::default()
+        };
+        if k == 0 {
+            return divergence;
+        }
+        let (full, compressed) = (&engines.full, &engines.compressed);
+        let mut full_rows = vec![vec![Rat::ZERO; full.program().num_locals()]; k];
+        let mut comp_rows = vec![vec![Rat::ZERO; compressed.program().num_locals()]; k];
+        for (j, &i) in self.scenarios.iter().enumerate() {
+            binder.bind_pair_into(i, &mut full_rows[j], &mut comp_rows[j]);
+        }
+        let mut exact = vec![Rat::ZERO; self.full.len()];
+        let mut scratch = FixedScratch::new();
+        full.eval_batch_exact_serial_with(use_fixed, &full_rows, &mut exact, &mut scratch);
+        divergence.record(&exact, &self.full);
+        compressed.eval_batch_exact_serial_with(use_fixed, &comp_rows, &mut exact, &mut scratch);
+        divergence.record(&exact, &self.compressed);
+        divergence
+    }
 }
 
 /// How far one parallel worker got through its contiguous scenario span
@@ -367,15 +456,6 @@ pub struct CompiledComparison {
     pub full: BatchEvaluator<Rat>,
     /// Batched evaluator over the compressed provenance.
     pub compressed: BatchEvaluator<Rat>,
-    /// Optional exact-value twins the `f64` divergence probes evaluate
-    /// instead of `full`/`compressed`. A shared-subterm DAG program
-    /// (`num_slots > 0`) never lowers to the fixed-point exact kernel,
-    /// so probing it directly pays a plain `Rat` walk per probe — enough
-    /// to dwarf the whole `f64` sweep at provenance scale. Its flat twin
-    /// produces bit-identical exact values (the DAG rewrite is exact in
-    /// the ring) while staying fixed-point eligible, so DAG-mode sessions
-    /// arm the flat pair here and the divergence record is unchanged.
-    probe: Option<Box<(BatchEvaluator<Rat>, BatchEvaluator<Rat>)>>,
 }
 
 impl CompiledComparison {
@@ -384,7 +464,6 @@ impl CompiledComparison {
         CompiledComparison {
             full: BatchEvaluator::compile(full),
             compressed: BatchEvaluator::compile(compressed),
-            probe: None,
         }
     }
 
@@ -394,59 +473,7 @@ impl CompiledComparison {
         full: BatchEvaluator<Rat>,
         compressed: BatchEvaluator<Rat>,
     ) -> CompiledComparison {
-        CompiledComparison {
-            full,
-            compressed,
-            probe: None,
-        }
-    }
-
-    /// Arms exact probe twins for the `f64` divergence probes: a pair of
-    /// engines whose exact values are bit-identical to `full`/`compressed`
-    /// but which remain eligible for the fixed-point exact kernel (e.g.
-    /// the flat originals of a DAG rewrite). The twins must share each
-    /// side's polynomial count and local layout — probes bind the same
-    /// scenario rows.
-    ///
-    /// # Panics
-    /// Panics when a twin's shape diverges from the engine it probes for.
-    #[must_use]
-    pub fn with_probe_twins(
-        mut self,
-        full: BatchEvaluator<Rat>,
-        compressed: BatchEvaluator<Rat>,
-    ) -> CompiledComparison {
-        assert_eq!(
-            full.program().num_polys(),
-            self.full.program().num_polys(),
-            "probe twin must mirror the full program's outputs"
-        );
-        assert_eq!(
-            full.program().num_locals(),
-            self.full.program().num_locals(),
-            "probe twin must share the full program's local layout"
-        );
-        assert_eq!(
-            compressed.program().num_polys(),
-            self.compressed.program().num_polys(),
-            "probe twin must mirror the compressed program's outputs"
-        );
-        assert_eq!(
-            compressed.program().num_locals(),
-            self.compressed.program().num_locals(),
-            "probe twin must share the compressed program's local layout"
-        );
-        self.probe = Some(Box::new((full, compressed)));
-        self
-    }
-
-    /// The exact programs the divergence probes evaluate: the armed probe
-    /// twins, or the engines themselves when none are armed.
-    fn probe_programs(&self) -> (&EvalProgram<Rat>, &EvalProgram<Rat>) {
-        match &self.probe {
-            Some(twins) => (twins.0.program(), twins.1.program()),
-            None => (self.full.program(), self.compressed.program()),
-        }
+        CompiledComparison { full, compressed }
     }
 
     /// Evaluates every scenario of `set` on both sides, streaming grid
@@ -553,6 +580,7 @@ impl CompiledComparison {
             .collect();
         let mut full_out = vec![Rat::ZERO; block * np];
         let mut comp_out = vec![Rat::ZERO; block * np];
+        let mut scratch = FixedScratch::new();
         let check = budget.has_dynamic_limits();
         let mut acc = init;
         let mut start = 0;
@@ -571,10 +599,16 @@ impl CompiledComparison {
                 // split borrows: binder needs &mut self for its scratch
                 binder.bind_pair_into(start + k, frow, crow);
             }
-            self.full
-                .eval_batch_exact_into(&full_rows[..width], &mut full_out[..width * np]);
-            self.compressed
-                .eval_batch_exact_into(&comp_rows[..width], &mut comp_out[..width * np]);
+            self.full.eval_batch_exact_reusing(
+                &full_rows[..width],
+                &mut full_out[..width * np],
+                &mut scratch,
+            );
+            self.compressed.eval_batch_exact_reusing(
+                &comp_rows[..width],
+                &mut comp_out[..width * np],
+                &mut scratch,
+            );
             for k in 0..width {
                 acc = f(
                     acc,
@@ -766,8 +800,10 @@ impl CompiledComparison {
     /// ([`BatchEvaluator::eval_batch_fast_into`]), so large grids
     /// aggregate at the lane-kernel per-scenario cost instead of exact
     /// `Rat` arithmetic. Up to [`F64_PROBES`] evenly spaced scenarios are
-    /// additionally re-evaluated on the exact engines; the returned
-    /// [`F64Divergence`] records the largest observed deviation.
+    /// additionally re-evaluated on the exact engines — deferred to the
+    /// end of the sweep and evaluated in one batched lane pass per side —
+    /// and the returned [`F64Divergence`] records the largest observed
+    /// deviation.
     ///
     /// `shadows` is the `(full, compressed)` pair of `f64` shadow engines
     /// of this comparison's exact programs
@@ -797,7 +833,15 @@ impl CompiledComparison {
     /// the fast path's sibling of
     /// [`sweep_fold_budgeted`](Self::sweep_fold_budgeted). The divergence
     /// record of a [`SweepOutcome::Partial`] covers exactly the probe
-    /// scenarios inside the completed prefix.
+    /// scenarios inside the completed prefix: the deferred probes are
+    /// evaluated for the scenarios actually folded.
+    ///
+    /// Those probes run after the last budget poll, so a stopped sweep
+    /// overruns its deadline or cancellation by up to one block plus the
+    /// exact evaluation of the probes it captured: one batched
+    /// fixed-point pass per side, or — under `COBRA_KERNEL=scalar`, or
+    /// for rows beyond the kernel's integer tiers — up to [`F64_PROBES`]
+    /// plain `Rat` walks per side.
     ///
     /// # Errors
     /// [`CoreError::InfeasibleBudget`](crate::error::CoreError::InfeasibleBudget)
@@ -898,19 +942,7 @@ impl CompiledComparison {
         } else {
             f64_probe_indices(n)
         };
-        let mut next_probe = 0usize;
-        let mut divergence = F64Divergence::default();
-        // Probes evaluate the armed twins (flat originals in DAG mode) so
-        // they stay fixed-point eligible — see `probe_programs`.
-        let (probe_full, probe_comp) = self.probe_programs();
-        let mut probe_full_row = vec![Rat::ZERO; probe_full.num_locals()];
-        let mut probe_comp_row = vec![Rat::ZERO; probe_comp.num_locals()];
-        let mut probe_out = vec![Rat::ZERO; np];
-        // Probes follow the exact-kernel dispatch too: at full provenance
-        // scale a plain `Rat` walk per probe would dwarf the whole `f64`
-        // sweep it is spot-checking.
-        let probe_fixed = kernel::exact_fixed_enabled();
-        let mut probe_scratch = FixedScratch::new();
+        let mut deferred = DeferredProbes::new(&probes, np);
 
         // Higham-shadow buffers (unused, empty when no shadow is given).
         let mut bound = F64ErrorBound::default();
@@ -966,25 +998,7 @@ impl CompiledComparison {
                 let i = start + k;
                 let full = &full_out[k * np..(k + 1) * np];
                 let compressed = &comp_out[k * np..(k + 1) * np];
-                if next_probe < probes.len() && probes[next_probe] == i {
-                    next_probe += 1;
-                    divergence.probed += 1;
-                    binder.bind_pair_into(i, &mut probe_full_row, &mut probe_comp_row);
-                    probe_full.eval_scenario_exact_with(
-                        probe_fixed,
-                        &probe_full_row,
-                        &mut probe_out,
-                        &mut probe_scratch,
-                    );
-                    divergence.record(&probe_out, full);
-                    probe_comp.eval_scenario_exact_with(
-                        probe_fixed,
-                        &probe_comp_row,
-                        &mut probe_out,
-                        &mut probe_scratch,
-                    );
-                    divergence.record(&probe_out, compressed);
-                }
+                deferred.capture(i, full, compressed);
                 if let Some(err) = err {
                     err.record(
                         &mut bound,
@@ -1006,6 +1020,7 @@ impl CompiledComparison {
             }
             start += width;
         }
+        let divergence = deferred.finish(&mut binder, self, kernel::exact_fixed_enabled());
         Ok((outcome_for(acc, start, n, n_target, stop), divergence, bound))
     }
 
@@ -1014,9 +1029,10 @@ impl CompiledComparison {
     /// parallel sibling pairing [`sweep_fold_par`](Self::sweep_fold_par)
     /// with the `f64` fast path. Each worker owns a [`PairBinder`], `f64`
     /// row/result buffers, one [`LaneScratch`] (reused across all of its
-    /// blocks) and a fold replica; workers re-evaluate exactly the probe
-    /// scenarios falling inside their own spans, so the merged
-    /// [`F64Divergence`] covers the same probes as the sequential engine.
+    /// blocks) and a fold replica; each worker keeps the probe scenarios
+    /// falling inside its own span and evaluates them in one batched
+    /// exact pass when its span ends, so the merged [`F64Divergence`]
+    /// covers the same probes as the sequential engine.
     ///
     /// Per scenario the lane kernel performs the same multiply/add
     /// sequence regardless of blocking or worker, so the fold output and
@@ -1045,7 +1061,11 @@ impl CompiledComparison {
     /// sibling of
     /// [`sweep_fold_par_budgeted`](Self::sweep_fold_par_budgeted). A
     /// partial outcome's divergence record covers exactly the probes
-    /// inside the completed prefix.
+    /// inside the completed prefix: each worker evaluates the deferred
+    /// probes of the scenarios it folded, after its last budget poll —
+    /// the overrun past a stop is that of
+    /// [`sweep_fold_f64_budgeted`](Self::sweep_fold_f64_budgeted), per
+    /// worker.
     ///
     /// # Errors
     /// [`CoreError::InfeasibleBudget`](crate::error::CoreError::InfeasibleBudget)
@@ -1151,10 +1171,7 @@ impl CompiledComparison {
         // choice (and the exact-kernel choice the divergence probes
         // follow) here on the calling thread and hand it to every worker.
         let kern = kernel::current();
-        let probe_fixed = kernel::exact_fixed_enabled();
-        // Probes evaluate the armed twins (flat originals in DAG mode) so
-        // they stay fixed-point eligible — see `probe_programs`.
-        let (probe_full, probe_comp) = self.probe_programs();
+        let use_fixed = kernel::exact_fixed_enabled();
         let abort = CancelToken::new();
 
         struct Worker<'a, F> {
@@ -1164,10 +1181,7 @@ impl CompiledComparison {
             full_out: Vec<f64>,
             comp_out: Vec<f64>,
             scratch: LaneScratch,
-            probe_full_row: Vec<Rat>,
-            probe_comp_row: Vec<Rat>,
-            probe_out: Vec<Rat>,
-            probe_scratch: FixedScratch,
+            probes: DeferredProbes<'a>,
             divergence: F64Divergence,
             abs_rows: Vec<Vec<f64>>,
             abs_comp_rows: Vec<Vec<f64>>,
@@ -1193,10 +1207,7 @@ impl CompiledComparison {
                 full_out: vec![0.0f64; block * np],
                 comp_out: vec![0.0f64; block * np],
                 scratch: LaneScratch::new(),
-                probe_full_row: vec![Rat::ZERO; probe_full.num_locals()],
-                probe_comp_row: vec![Rat::ZERO; probe_comp.num_locals()],
-                probe_out: vec![Rat::ZERO; np],
-                probe_scratch: FixedScratch::new(),
+                probes: DeferredProbes::new(&probes, np),
                 divergence: F64Divergence::default(),
                 abs_rows: if err.is_some() {
                     (0..block)
@@ -1228,8 +1239,7 @@ impl CompiledComparison {
             },
             |w, range| {
                 w.span = SpanProgress::begin(&range);
-                // First probe index at or past this span's start.
-                let mut next_probe = probes.partition_point(|&p| p < range.start);
+                w.probes.begin(range.start);
                 let mut start = range.start;
                 while start < range.end {
                     faults::point(faults::Site::Block);
@@ -1289,29 +1299,7 @@ impl CompiledComparison {
                         let i = start + k;
                         let full = &w.full_out[k * np..(k + 1) * np];
                         let compressed = &w.comp_out[k * np..(k + 1) * np];
-                        if next_probe < probes.len() && probes[next_probe] == i {
-                            next_probe += 1;
-                            w.divergence.probed += 1;
-                            w.binder.bind_pair_into(
-                                i,
-                                &mut w.probe_full_row,
-                                &mut w.probe_comp_row,
-                            );
-                            probe_full.eval_scenario_exact_with(
-                                probe_fixed,
-                                &w.probe_full_row,
-                                &mut w.probe_out,
-                                &mut w.probe_scratch,
-                            );
-                            w.divergence.record(&w.probe_out, full);
-                            probe_comp.eval_scenario_exact_with(
-                                probe_fixed,
-                                &w.probe_comp_row,
-                                &mut w.probe_out,
-                                &mut w.probe_scratch,
-                            );
-                            w.divergence.record(&w.probe_out, compressed);
-                        }
+                        w.probes.capture(i, full, compressed);
                         if let Some(err) = err {
                             err.record(
                                 &mut w.bound,
@@ -1331,6 +1319,7 @@ impl CompiledComparison {
                     start += width;
                     w.span.done = start;
                 }
+                w.divergence = w.probes.finish(&mut w.binder, self, use_fixed);
             },
         )?;
         let mut fold = fold;

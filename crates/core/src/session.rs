@@ -161,8 +161,8 @@ pub struct CobraSession {
     /// [`compress_forest_frontier`](CobraSession::compress_forest_frontier).
     pub(crate) forest: Option<ForestFrontierState>,
     /// Algebraic DAG mode ([`compile_dag`](CobraSession::compile_dag)):
-    /// when armed, every evaluation surface resolves to the DAG-rewritten
-    /// engines instead of the flat ones.
+    /// when armed, the `f64` evaluation surfaces run the DAG-rewritten
+    /// programs instead of the flat ones (exact evaluations stay flat).
     pub(crate) dag_mode: bool,
     /// The rewrite configuration of the armed optimizer.
     pub(crate) dag_opts: DagOptions,
@@ -209,11 +209,12 @@ pub(crate) struct Compressed {
     /// per-polynomial γ factors) for the *bounded* `f64` sweeps, derived
     /// from the `f64` engines on first use.
     pub(crate) err_shadow: OnceCell<ErrorShadow>,
-    /// DAG-rewritten exact comparison (armed mode only), built lazily
-    /// from the flat engines. A fresh cell on every `Compressed`
+    /// DAG rewrite of the flat compressed-side exact engine (armed mode
+    /// only), built lazily: the source of the DAG `f64` shadow and of the
+    /// [`DagReport`] accounting. A fresh cell on every `Compressed`
     /// construction is what guarantees delta updates can never serve
     /// stale slots: any path that rebuilds a selection rebuilds these.
-    pub(crate) dag_engines: OnceCell<CompiledComparison>,
+    pub(crate) dag_comp_rat: OnceCell<BatchEvaluator<Rat>>,
     /// `f64` shadow of the DAG compressed-side engine.
     pub(crate) dag_comp_f64: OnceCell<BatchEvaluator<f64>>,
     /// Higham shadows derived from the DAG `f64` engines (slot-aware
@@ -236,7 +237,7 @@ impl Compressed {
             engines: OnceCell::new(),
             comp_f64: OnceCell::new(),
             err_shadow: OnceCell::new(),
-            dag_engines: OnceCell::new(),
+            dag_comp_rat: OnceCell::new(),
             dag_comp_f64: OnceCell::new(),
             dag_err_shadow: OnceCell::new(),
         };
@@ -380,42 +381,20 @@ impl CobraSession {
             .get_or_init(|| BatchEvaluator::new(self.full_engine().program().to_f64_program()))
     }
 
-    /// The **flat** exact compiled comparison of a compression, built on
-    /// first use: the session-invariant full side is shared (an `Arc`
-    /// clone), only the compressed side compiles — and only when
-    /// something actually evaluates.
-    fn flat_engines<'a>(&'a self, state: &'a Compressed) -> &'a CompiledComparison {
+    /// The exact compiled comparison of a compression, built on first
+    /// use: the session-invariant full side is shared (an `Arc` clone),
+    /// only the compressed side compiles — and only when something
+    /// actually evaluates. Every exact evaluation runs these **flat**
+    /// programs, DAG mode or not: a DAG rewrite is exact in the ring, so
+    /// its `Rat` values are bit-identical, but it never lowers to the
+    /// fixed-point exact kernel. In DAG mode they also bind the rows of
+    /// the `f64` sweeps, whose DAG shadows share the flat local layout.
+    fn engines<'a>(&'a self, state: &'a Compressed) -> &'a CompiledComparison {
         state.engines.get_or_init(|| {
             CompiledComparison::from_engines(
                 self.full_engine().clone(),
                 BatchEvaluator::compile(&self.applied(state).compressed),
             )
-        })
-    }
-
-    /// The exact comparison every evaluation surface uses: the flat
-    /// engines, or — with DAG mode armed
-    /// ([`compile_dag`](Self::compile_dag)) — their shared-subterm DAG
-    /// rewrites ([`cobra_provenance::dag::rewrite`]). The `Rat` path of a
-    /// DAG program is bit-identical to the flat walk (rearrangement is
-    /// exact in the ring), so arming the mode never changes an exact
-    /// answer.
-    fn engines<'a>(&'a self, state: &'a Compressed) -> &'a CompiledComparison {
-        if !self.dag_mode {
-            return self.flat_engines(state);
-        }
-        state.dag_engines.get_or_init(|| {
-            let flat = self.flat_engines(state);
-            let compressed = dag::rewrite(flat.compressed.program(), &self.dag_opts).program;
-            // The flat engines ride along as probe twins: DAG programs
-            // never lower to the fixed-point exact kernel, so the `f64`
-            // sweeps' divergence probes evaluate the (bit-identical) flat
-            // originals instead of paying a `Rat` slot walk per probe.
-            CompiledComparison::from_engines(
-                self.dag_full_engine().clone(),
-                BatchEvaluator::new(compressed),
-            )
-            .with_probe_twins(flat.full.clone(), flat.compressed.clone())
         })
     }
 
@@ -425,6 +404,15 @@ impl CobraSession {
         self.dag_full_rat.get_or_init(|| {
             let build = dag::rewrite(self.full_engine().program(), &self.dag_opts);
             BatchEvaluator::new(build.program)
+        })
+    }
+
+    /// The DAG rewrite of a compression's flat compressed-side engine
+    /// (armed mode only).
+    fn dag_comp_engine<'a>(&'a self, state: &'a Compressed) -> &'a BatchEvaluator<Rat> {
+        state.dag_comp_rat.get_or_init(|| {
+            let flat = self.engines(state).compressed.program();
+            BatchEvaluator::new(dag::rewrite(flat, &self.dag_opts).program)
         })
     }
 
@@ -484,7 +472,7 @@ impl CobraSession {
             .dag_full_f64
             .get_or_init(|| BatchEvaluator::new(self.dag_full_engine().program().to_f64_program()));
         let compressed = state.dag_comp_f64.get_or_init(|| {
-            BatchEvaluator::new(self.engines(state).compressed.program().to_f64_program())
+            BatchEvaluator::new(self.dag_comp_engine(state).program().to_f64_program())
         });
         (full, compressed)
     }
@@ -861,8 +849,8 @@ impl CobraSession {
                 let comp = self
                     .compressed
                     .as_ref()
-                    .and_then(|c| c.dag_engines.get())
-                    .map(|e| e.compressed.program().num_slots());
+                    .and_then(|c| c.dag_comp_rat.get())
+                    .map(|e| e.program().num_slots());
                 match (full, comp) {
                     (None, None) => None,
                     (a, b) => Some(a.unwrap_or(0) + b.unwrap_or(0)),
@@ -1004,7 +992,7 @@ impl CobraSession {
                 engines: OnceCell::new(),
                 comp_f64: OnceCell::new(),
                 err_shadow: OnceCell::new(),
-                dag_engines: OnceCell::new(),
+                dag_comp_rat: OnceCell::new(),
                 dag_comp_f64: OnceCell::new(),
                 dag_err_shadow: OnceCell::new(),
             };
@@ -1245,7 +1233,7 @@ impl CobraSession {
                             engines: OnceCell::new(),
                             comp_f64: OnceCell::new(),
                             err_shadow: OnceCell::new(),
-                            dag_engines: OnceCell::new(),
+                            dag_comp_rat: OnceCell::new(),
                             dag_comp_f64: OnceCell::new(),
                             dag_err_shadow: OnceCell::new(),
                         });
@@ -1377,9 +1365,11 @@ impl CobraSession {
     }
 
     /// Whether algebraic (DAG) compression is armed: when `true`, every
-    /// evaluation surface — sweeps, folds, assignments, speedup
+    /// `f64` evaluation surface — the `f64` sweeps and folds, speedup
     /// measurements — runs the factored shared-subterm programs built by
-    /// [`compile_dag`](Self::compile_dag) instead of the flat ones.
+    /// [`compile_dag`](Self::compile_dag) instead of the flat ones. Exact
+    /// evaluations keep the flat programs, whose values are bit-identical
+    /// and which the fixed-point exact kernel runs.
     pub fn dag_mode(&self) -> bool {
         self.dag_mode
     }
@@ -1399,7 +1389,7 @@ impl CobraSession {
     /// Rewrites both compiled engines of the current selection — full and
     /// compressed — into shared-subterm DAG programs with the default
     /// [`AlgebraicDag`] optimizer, and arms them for every subsequent
-    /// evaluation.
+    /// `f64` evaluation.
     ///
     /// Algebraic compression composes with — it does not replace —
     /// cut-based abstraction: [`compress`](Self::compress) (or
@@ -1454,20 +1444,19 @@ impl CobraSession {
         let _ = self.dag_full_rat.take();
         let _ = self.dag_full_f64.take();
         if let Some(c) = &mut self.compressed {
-            c.dag_engines = OnceCell::new();
+            c.dag_comp_rat = OnceCell::new();
             c.dag_comp_f64 = OnceCell::new();
             c.dag_err_shadow = OnceCell::new();
         }
         self.dag_opts = optimizer.options();
         self.dag_mode = true;
         let state = self.compressed.as_ref().expect("checked above");
-        let engines = self.engines(state);
         let report = DagReport {
             optimizer: optimizer.name(),
-            full: Self::dag_stats(self.full_engine().program(), engines.full.program()),
+            full: Self::dag_stats(self.full_engine().program(), self.dag_full_engine().program()),
             compressed: Self::dag_stats(
-                self.flat_engines(state).compressed.program(),
-                engines.compressed.program(),
+                self.engines(state).compressed.program(),
+                self.dag_comp_engine(state).program(),
             ),
         };
         let _ = self.f64_engines(state);
@@ -1812,8 +1801,10 @@ impl CobraSession {
     ///
     /// The trade-off is floating-point rounding: coefficients, bound
     /// rows and evaluation all round to nearest. The engine therefore
-    /// re-evaluates up to 16 evenly spaced scenarios on the exact
-    /// engines and returns the largest observed relative deviation as an
+    /// re-evaluates up to [`F64_PROBES`](crate::scenario::F64_PROBES)
+    /// evenly spaced scenarios on the exact engines — deferred to the end
+    /// of the sweep and batched into one fixed-point lane pass per side —
+    /// and returns the largest observed relative deviation as an
     /// [`F64Divergence`] next to the fold output — a measured spot check
     /// (not a proven worst-case bound) that surfaces catastrophic
     /// cancellation if a workload ever triggers it. Exactness-critical
@@ -1841,8 +1832,13 @@ impl CobraSession {
     /// [`sweep_fold_f64`](Self::sweep_fold_f64) under a [`SweepBudget`]:
     /// block-granular budget polls on the `f64` fast path, exact partial
     /// prefixes on exhaustion. The returned [`F64Divergence`] covers the
-    /// probes inside the completed prefix, matching a sequential run over
-    /// the same prefix.
+    /// probes inside the completed prefix (the deferred probes are
+    /// evaluated for the scenarios actually folded), matching a
+    /// sequential run over the same prefix. Because those probes run
+    /// after the last budget poll, a stopped sweep overruns its deadline
+    /// by up to one block plus the captured probes' exact evaluation —
+    /// see
+    /// [`CompiledComparison::sweep_fold_f64_budgeted`](crate::scenario::CompiledComparison::sweep_fold_f64_budgeted).
     ///
     /// # Errors
     /// `Session` if `compress` has not run; `InfeasibleBudget` for a
@@ -1930,7 +1926,8 @@ impl CobraSession {
     /// the parallel `f64` fast path — per-worker binders, lane-kernel
     /// scratch and fold replicas, merged in ascending span order, with
     /// the divergence probes distributed to the workers whose spans
-    /// contain them. Fold output and [`F64Divergence`] are bit-identical
+    /// contain them (each worker batches its probes into one exact pass
+    /// when its span ends). Fold output and [`F64Divergence`] are bit-identical
     /// to the sequential engine at any thread count; at 10⁷ scenarios
     /// this is the fastest aggregate surface in the crate.
     ///
@@ -1983,7 +1980,10 @@ impl CobraSession {
     /// interruptible — workers poll the budget between lane-kernel
     /// blocks, and partial results are the exact in-order merge of the
     /// completed span prefixes, bit-identical to a sequential budgeted
-    /// run over the same prefix.
+    /// run over the same prefix. Each worker evaluates its deferred
+    /// probes after its last poll, so a stopped sweep overruns by up to
+    /// one block plus those probes per worker — see
+    /// [`CompiledComparison::sweep_fold_f64_budgeted`](crate::scenario::CompiledComparison::sweep_fold_f64_budgeted).
     ///
     /// # Errors
     /// `Session` if `compress` has not run; `InfeasibleBudget` for a

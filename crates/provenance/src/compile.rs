@@ -565,7 +565,7 @@ impl EvalProgram<Rat> {
         }
     }
 
-    /// The scaled-`i128` fixed-point twin of this exact program, prepared
+    /// The fixed-point lane twin of this exact program, prepared
     /// lazily on first use and cached for the program's lifetime. `None`
     /// when the program does not fit the fixed-point guards (coefficient
     /// scale overflows `i128` or a term's degree exceeds the table cap) —
@@ -585,14 +585,46 @@ impl EvalProgram<Rat> {
             .as_deref()
     }
 
-    /// One exact scenario through the kernel dispatch: the scaled
-    /// fixed-point kernel when `use_fixed` (the caller's resolved
+    /// Exact rows through the kernel dispatch: the fixed-point lane
+    /// kernel when `use_fixed` (the caller's resolved
     /// [`exact_fixed_enabled`](cobra_util::kernel::exact_fixed_enabled)
-    /// choice) and this program lowers, the plain `Rat` term walk
-    /// otherwise — including the per-scenario overflow fallback, so the
-    /// output is representation-identical either way. This is the
-    /// single-row sibling of [`BatchEvaluator::eval_batch_exact_into`];
-    /// the `f64` sweep engines use it for their divergence probes.
+    /// choice) and this program lowers — rows beyond its `i128` tier fall
+    /// back one by one — and the plain `Rat` term walk otherwise. The
+    /// output (`rows.len() × num_polys`, row-major) is
+    /// representation-identical either way.
+    ///
+    /// # Panics
+    /// Panics if a row's width is not `num_locals()` or
+    /// `out.len() != rows.len() * num_polys()`.
+    pub fn eval_rows_exact_with<R: AsRef<[Rat]>>(
+        &self,
+        use_fixed: bool,
+        rows: &[R],
+        out: &mut [Rat],
+        scratch: &mut FixedScratch,
+    ) {
+        let np = self.num_polys();
+        assert_eq!(out.len(), rows.len() * np, "output buffer size");
+        if np == 0 {
+            return;
+        }
+        let fixed = if use_fixed {
+            self.fixed_program()
+        } else {
+            None
+        };
+        match fixed {
+            Some(fp) => fp.eval_rows_into(self, rows, out, scratch),
+            None => {
+                for (row, out) in rows.iter().zip(out.chunks_exact_mut(np)) {
+                    self.eval_scenario_into(row.as_ref(), out);
+                }
+            }
+        }
+    }
+
+    /// One exact scenario through the kernel dispatch — the one-row call
+    /// of [`eval_rows_exact_with`](Self::eval_rows_exact_with).
     ///
     /// # Panics
     /// Panics if `row.len() != num_locals()` or
@@ -604,14 +636,7 @@ impl EvalProgram<Rat> {
         out: &mut [Rat],
         scratch: &mut FixedScratch,
     ) {
-        if use_fixed {
-            if let Some(fp) = self.fixed_program() {
-                if fp.eval_scenario_into(self, row, out, scratch) {
-                    return;
-                }
-            }
-        }
-        self.eval_scenario_into(row, out);
+        self.eval_rows_exact_with(use_fixed, std::slice::from_ref(&row), out, scratch);
     }
 }
 
@@ -831,9 +856,9 @@ impl<C: Coeff + Send + Sync> BatchEvaluator<C> {
 
 impl BatchEvaluator<Rat> {
     /// [`eval_batch_into`](Self::eval_batch_into) through the exact-path
-    /// kernel dispatch: scenarios whose intermediates fit the
-    /// scaled-`i128` fixed-point kernel ([`FixedProgram`]) are evaluated
-    /// in pure integer arithmetic, the rest fall back — per scenario,
+    /// kernel dispatch: scenarios whose magnitude bound fits an integer
+    /// tier of the fixed-point lane kernel ([`FixedProgram`]) are
+    /// evaluated in pure integer arithmetic, the rest fall back — per scenario,
     /// deterministically — to the generic `Rat` walk. Both kernels
     /// produce the identical canonical rationals, so the split is
     /// unobservable in the results. `COBRA_KERNEL=scalar` (or a scoped
@@ -844,12 +869,33 @@ impl BatchEvaluator<Rat> {
     /// Panics if `out.len() != scenarios.len() * num_polys()` or any row's
     /// width differs from `num_locals()`.
     pub fn eval_batch_exact_into(&self, scenarios: &[Vec<Rat>], out: &mut [Rat]) {
+        self.eval_batch_exact_reusing(scenarios, out, &mut FixedScratch::new());
+    }
+
+    /// [`eval_batch_exact_into`](Self::eval_batch_exact_into) reusing a
+    /// caller-owned [`FixedScratch`] whenever the batch runs on the
+    /// calling thread alone — the form a block-streaming sweep calls, so
+    /// a single-threaded sweep sizes the kernel's lane buffers once, not
+    /// once per block.
+    ///
+    /// # Panics
+    /// Same conditions as [`eval_batch_exact_into`](Self::eval_batch_exact_into).
+    pub fn eval_batch_exact_reusing(
+        &self,
+        scenarios: &[Vec<Rat>],
+        out: &mut [Rat],
+        scratch: &mut FixedScratch,
+    ) {
         let np = self.program.num_polys();
         assert_eq!(out.len(), scenarios.len() * np, "output buffer size");
         if np == 0 || scenarios.is_empty() {
             return;
         }
         let use_fixed = cobra_util::kernel::exact_fixed_enabled();
+        if par::num_threads() <= 1 {
+            self.eval_batch_exact_serial_with(use_fixed, scenarios, out, scratch);
+            return;
+        }
         // One chunk per worker: `par_chunks_mut` hands each thread a
         // contiguous run of chunks anyway, so finer chunking buys no
         // balance — it only multiplies the per-chunk [`FixedScratch`]
@@ -904,24 +950,8 @@ impl BatchEvaluator<Rat> {
         out: &mut [Rat],
         scratch: &mut FixedScratch,
     ) {
-        let np = self.program.num_polys();
-        assert_eq!(out.len(), scenarios.len() * np, "output buffer size");
-        if np == 0 {
-            return;
-        }
-        let fixed = if use_fixed {
-            self.program.fixed_program()
-        } else {
-            None
-        };
-        for (row, out) in scenarios.iter().zip(out.chunks_exact_mut(np)) {
-            if let Some(fp) = fixed {
-                if fp.eval_scenario_into(&self.program, row, out, scratch) {
-                    continue;
-                }
-            }
-            self.program.eval_scenario_into(row, out);
-        }
+        self.program
+            .eval_rows_exact_with(use_fixed, scenarios, out, scratch);
     }
 }
 

@@ -15,11 +15,12 @@
 //!   fuses the last factor into the accumulate (one rounding fewer per
 //!   term) and is therefore *not* bit-identical — only certified by the
 //!   Higham shadow bound.
-//! * [`FixedProgram`] — a scaled-`i128` fixed-point twin of the exact
-//!   `Rat` path: one common coefficient scale per program, one common
-//!   denominator per scenario, pure integer inner loops, and a
+//! * [`FixedProgram`] — a fixed-point lane twin of the exact `Rat`
+//!   path: one common coefficient scale per program, one common
+//!   denominator per scenario, and wrapping integer lanes whose width
+//!   (`i64` or `i128`) each row's a-priori magnitude bound picks, with a
 //!   **deterministic per-scenario fallback** to plain `Rat` arithmetic
-//!   whenever any intermediate would overflow.
+//!   for rows beyond `i128`.
 //!
 //! Every kernel consumes the same transposed lane block (`vals[v·width +
 //! lane]`) prepared here, and every `f64` path shares
@@ -32,7 +33,7 @@ pub(crate) mod avx2;
 mod fixed;
 pub(crate) mod scalar;
 
-pub use fixed::{FixedProgram, FixedScratch};
+pub use fixed::{FixedProgram, FixedScratch, FixedTier, FIXED_LANES};
 
 use crate::compile::EvalProgram;
 use cobra_util::kernel::F64Kernel;

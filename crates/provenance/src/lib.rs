@@ -61,7 +61,7 @@ pub mod var;
 pub use compile::{compile_f64, BatchEvaluator, BatchResults, EvalProgram, LaneScratch};
 pub use dag::{DagBuild, DagOptions, DagStats};
 pub use delta::{DeltaAction, DeltaError, DeltaOp, DeltaReport, PolyDelta};
-pub use kernel::{FixedProgram, FixedScratch};
+pub use kernel::{FixedProgram, FixedScratch, FixedTier, FIXED_LANES};
 pub use monomial::Monomial;
 pub use parse::{parse_poly, parse_polyset, ParseError};
 pub use persist::{

@@ -48,6 +48,27 @@ const fn gcd(mut a: i128, mut b: i128) -> i128 {
     }
 }
 
+/// Stein's binary gcd (`gcd(0, 0) = 0`).
+const fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            let t = a;
+            a = b;
+            b = t;
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
 /// True iff every value fits in `i64`, so products of two of them (and
 /// sums of two such products) cannot overflow `i128` — the guard for the
 /// small-integer fast paths that skip gcd normalization.
@@ -70,6 +91,18 @@ impl Rat {
     /// Panics if `den == 0`.
     pub fn new(num: i128, den: i128) -> Rat {
         assert!(den != 0, "Rat denominator must be non-zero");
+        // Both magnitudes below 2⁶³ — the common case — reduce with
+        // 64-bit gcd and division instead of 128-bit library calls.
+        let (ua, ud) = (num.unsigned_abs(), den.unsigned_abs());
+        if ua < 1 << 63 && ud < 1 << 63 {
+            let g = gcd_u64(ua as u64, ud as u64);
+            let (n, d) = ((ua as u64 / g) as i128, (ud as u64 / g) as i128);
+            let negative = (num < 0) != (den < 0);
+            return Rat {
+                num: if negative { -n } else { n },
+                den: d,
+            };
+        }
         let sign = if den < 0 { -1 } else { 1 };
         let g = gcd(num, den);
         if g == 0 {

@@ -13,8 +13,10 @@
 //!   batch kernels, at 1 and 4 worker threads;
 //! * the rewrite only ever removes multiply work (`dag_multiply_ops ≤
 //!   flat_multiply_ops`) and never changes the output row count;
-//! * a DAG-armed session answers exact sweeps bit-identically to a flat
-//!   twin under the kernel-target × thread matrix, and its `f64` sweeps
+//! * a DAG-armed session answers exact sweeps and exact `assign`
+//!   bit-identically to a flat twin under the kernel-target × thread
+//!   matrix (its exact evaluations run on the flat programs), and its
+//!   `f64` sweeps
 //!   stay within the **joint** Higham certificate of the flat twin's
 //!   (each side is within its own sound bound of the true value, so the
 //!   two runs differ by at most the sum of the bounds);
@@ -339,6 +341,27 @@ proptest! {
                     want.clone(),
                     "exact rows diverge (par, target {}, {} threads)", t, threads
                 );
+            }
+        }
+
+        // Exact assign: one scenario at a time, every grid point, rows
+        // bit-identical to the flat twin's.
+        let base = flat.base_valuation().clone();
+        for i in 0..grid.len() {
+            let val = grid.scenario_valuation(i, &base);
+            for t in KERNEL_MATRIX {
+                let (d, f) = kernel::with_target(t, || {
+                    (dagged.assign(&val).unwrap(), flat.assign(&val).unwrap())
+                });
+                prop_assert_eq!(d.rows.len(), f.rows.len());
+                for (dr, fr) in d.rows.iter().zip(&f.rows) {
+                    prop_assert_eq!(&dr.label, &fr.label);
+                    prop_assert_eq!(
+                        (dr.full.numer(), dr.full.denom(), dr.compressed.numer(), dr.compressed.denom()),
+                        (fr.full.numer(), fr.full.denom(), fr.compressed.numer(), fr.compressed.denom()),
+                        "assign diverges at scenario {}, target {}", i, t
+                    );
+                }
             }
         }
 

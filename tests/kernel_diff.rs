@@ -11,16 +11,22 @@
 //!   concurrently running tests cannot race on the env variables);
 //! * `avx2fma` (fused accumulate, different rounding) stays within the
 //!   Higham-style error budget of the scalar kernel;
-//! * the scaled-`i128` exact kernel is **representation-identical** to
-//!   the plain `Rat` walk wherever it completes, and its per-scenario
-//!   overflow fallback is unobservable through the public batch API —
-//!   including at magnitudes straddling the `i128` overflow boundary.
+//! * the fixed-point exact kernel is **representation-identical** to
+//!   the plain `Rat` walk in both integer tiers (`i64` and `i128`
+//!   lanes), and its per-scenario fallback is unobservable through the
+//!   public batch API — including rows whose magnitude bound straddles
+//!   2⁶³ or 2¹²⁷, lane groups mixing tiers, and batches that are not a
+//!   multiple of the lane width;
+//! * at the benchmark's paper shape, every divergence-probe row of both
+//!   sides takes the `i64` tier.
 
 use cobra::core::folds::{self, MergeFold, SweepFold};
-use cobra::core::scenario::FoldItem;
+use cobra::core::scenario::{CompiledComparison, FoldItem, PairBinder};
 use cobra::core::{CobraSession, ScenarioSet, SweepBudget};
+use cobra::datagen::telephony::{Telephony, TelephonyConfig, PLANS};
 use cobra::provenance::{
-    compile_f64, parse_polyset, BatchEvaluator, Coeff, FixedScratch, VarRegistry,
+    compile_f64, parse_polyset, BatchEvaluator, Coeff, FixedScratch, FixedTier, Valuation,
+    VarRegistry, FIXED_LANES,
 };
 use cobra::util::kernel::{self, KernelTarget};
 use cobra::util::par::with_threads;
@@ -161,6 +167,74 @@ fn rat_rows(pool: &[Rat], n: usize, width: usize) -> Vec<Vec<Rat>> {
 fn levels_strategy() -> impl Strategy<Value = Vec<Rat>> {
     proptest::collection::vec((-20i128..40, 1i128..5), 1..4)
         .prop_map(|pairs| pairs.into_iter().map(|(n, d)| Rat::new(n, d)).collect())
+}
+
+/// Decimal-price coefficient denominators and scenario-value
+/// denominators for the tier suite (provenance-shaped magnitudes).
+const COEFF_DENS: [i128; 6] = [1, 2, 4, 5, 10, 100];
+const VALUE_DENS: [i128; 4] = [1, 2, 5, 10];
+
+/// A provenance-shaped term: coefficient `seed·2^bits / den` and up to
+/// two unit factors (a repeated variable becomes a square), so the
+/// plain `Rat` reference never overflows while rows still span the
+/// `i64` and `i128` tiers.
+fn tier_term_strategy() -> impl Strategy<Value = TermSpec> {
+    (
+        -1000i128..1000,
+        0u32..32,
+        0usize..COEFF_DENS.len(),
+        proptest::collection::vec(0u8..4, 0..3),
+    )
+        .prop_map(|(seed, bits, den, vars)| {
+            let factors = vars.into_iter().map(|v| (v, 1)).collect();
+            (seed << bits, COEFF_DENS[den], factors)
+        })
+}
+
+fn tier_polyset_strategy() -> impl Strategy<Value = String> {
+    proptest::collection::vec(proptest::collection::vec(tier_term_strategy(), 1..7), 1..4)
+        .prop_map(|polys| render_polyset(&polys))
+}
+
+/// A skewed term for the fine-bound suite: up to three factors of the
+/// small variables `a`, `b`, `c` (degree up to 9), times the large
+/// variable `d` at most once — so a row's coarse bound `M^G_max` is
+/// astronomically loose while its true value stays inside `i128`.
+fn skew_term_strategy() -> impl Strategy<Value = TermSpec> {
+    (
+        -1000i128..1000,
+        0usize..COEFF_DENS.len(),
+        proptest::collection::vec((0u8..3, 1u8..4), 0..4),
+        0u8..2,
+    )
+        .prop_map(|(num, den, mut factors, big)| {
+            if big == 1 {
+                factors.push((3, 1));
+            }
+            (num, COEFF_DENS[den], factors)
+        })
+}
+
+fn skew_polyset_strategy() -> impl Strategy<Value = String> {
+    proptest::collection::vec(proptest::collection::vec(skew_term_strategy(), 1..7), 1..4)
+        .prop_map(|polys| render_polyset(&polys))
+}
+
+fn tier_pool_strategy() -> impl Strategy<Value = Vec<(i128, i128)>> {
+    proptest::collection::vec((-60i128..60, 0usize..VALUE_DENS.len()), 8..20)
+        .prop_map(|pairs| pairs.into_iter().map(|(n, d)| (n, VALUE_DENS[d])).collect())
+}
+
+/// Asserts `got` is representation-identical to `want`.
+fn assert_same_rats(got: &[Rat], want: &[Rat], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (slot, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            (g.numer(), g.denom()),
+            (w.numer(), w.denom()),
+            "{what}: slot {slot}"
+        );
+    }
 }
 
 proptest! {
@@ -381,6 +455,122 @@ proptest! {
         }
     }
 
+    /// Tier property: rows scaled by `2^bits` land in the `i64` or the
+    /// `i128` tier by their magnitude bound, and either way — one row at a
+    /// time, in one mixed batch of any length (lane groups per tier, a
+    /// ragged last group), or through the public batch surface at 1 and 4
+    /// threads — the values are representation-identical to the plain
+    /// `Rat` walk.
+    #[test]
+    fn fixed_tiers_agree_with_rat_walk(
+        src in tier_polyset_strategy(),
+        pool in tier_pool_strategy(),
+        bits in proptest::collection::vec(0u32..25, 1..40),
+    ) {
+        let mut reg = VarRegistry::new();
+        let set = parse_polyset(&src, &mut reg).unwrap();
+        let ev: BatchEvaluator<Rat> = BatchEvaluator::compile(&set);
+        let prog = ev.program();
+        let (np, width, n) = (prog.num_polys(), prog.num_locals(), bits.len());
+        let rows: Vec<Vec<Rat>> = bits
+            .iter()
+            .enumerate()
+            .map(|(k, &b)| {
+                (0..width)
+                    .map(|v| {
+                        let (num, den) = pool[(k * width + v) % pool.len()];
+                        Rat::new(num << b, den)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut reference = vec![Rat::ZERO; n * np];
+        for (k, row) in rows.iter().enumerate() {
+            prog.eval_scenario_into(row, &mut reference[k * np..(k + 1) * np]);
+        }
+
+        let fp = prog.fixed_program().expect("decimal programs lower");
+        let mut scratch = FixedScratch::new();
+        let mut one = vec![Rat::ZERO; np];
+        for (k, row) in rows.iter().enumerate() {
+            let tier = fp.tier(prog, row);
+            prop_assert!(tier != FixedTier::Rat, "row {} left the integer tiers", k);
+            prop_assert!(fp.eval_scenario_into(prog, row, &mut one, &mut scratch));
+            prop_assert_eq!(&one[..], &reference[k * np..(k + 1) * np], "row {} ({:?})", k, tier);
+        }
+
+        let mut batch = vec![Rat::ZERO; n * np];
+        fp.eval_rows_into(prog, &rows, &mut batch, &mut scratch);
+        prop_assert_eq!(&batch, &reference, "mixed batch of {} rows", n);
+
+        for threads in THREAD_MATRIX {
+            let mut out = vec![Rat::ZERO; n * np];
+            with_threads(threads, || {
+                kernel::with_target(KernelTarget::Auto, || ev.eval_batch_exact_into(&rows, &mut out))
+            });
+            prop_assert_eq!(&out, &reference, "public batch, threads {}", threads);
+        }
+    }
+
+    /// Fine-bound property: rows with one large value (`±2^k`, `k` up
+    /// to 40) in degree-10 programs, where the coarse bound always
+    /// exceeds `2¹²⁷`, land in whatever tier the per-polynomial bound
+    /// allows — and every tier, one row at a time or in a mixed ragged
+    /// batch, matches the plain `Rat` walk.
+    #[test]
+    fn fine_tiers_agree_with_rat_walk(
+        src in skew_polyset_strategy(),
+        small in proptest::collection::vec((-12i128..13, 0usize..VALUE_DENS.len()), 3),
+        bigs in proptest::collection::vec((0u32..41, 0u8..2), 1..40),
+    ) {
+        let mut reg = VarRegistry::new();
+        let vars: Vec<_> = ["a", "b", "c", "d"].iter().map(|n| reg.var(n)).collect();
+        let set = parse_polyset(&src, &mut reg).unwrap();
+        let ev: BatchEvaluator<Rat> = BatchEvaluator::compile(&set);
+        let prog = ev.program();
+        let np = prog.num_polys();
+        let rows: Vec<Vec<Rat>> = bigs
+            .iter()
+            .map(|&(k, neg)| {
+                let mut val = Valuation::with_default(Rat::ONE);
+                for (&v, &(n, den)) in vars.iter().zip(&small) {
+                    val.set(v, Rat::new(n, VALUE_DENS[den]));
+                }
+                let big = 1i128 << k;
+                val.set(vars[3], Rat::new(if neg == 1 { -big } else { big }, 1));
+                prog.bind(&val).unwrap()
+            })
+            .collect();
+        let n = rows.len();
+        let mut reference = vec![Rat::ZERO; n * np];
+        for (k, row) in rows.iter().enumerate() {
+            prog.eval_scenario_into(row, &mut reference[k * np..(k + 1) * np]);
+        }
+
+        let fp = prog.fixed_program().expect("decimal programs lower");
+        let mut scratch = FixedScratch::new();
+        let mut one = vec![Rat::ZERO; np];
+        for (k, row) in rows.iter().enumerate() {
+            let tier = fp.tier(prog, row);
+            let lowered = fp.eval_scenario_into(prog, row, &mut one, &mut scratch);
+            prop_assert_eq!(lowered, tier != FixedTier::Rat);
+            if lowered {
+                prop_assert_eq!(&one[..], &reference[k * np..(k + 1) * np], "row {} ({:?})", k, tier);
+            }
+        }
+
+        let mut batch = vec![Rat::ZERO; n * np];
+        fp.eval_rows_into(prog, &rows, &mut batch, &mut scratch);
+        prop_assert_eq!(&batch, &reference, "mixed batch of {} rows", n);
+        for threads in THREAD_MATRIX {
+            let mut out = vec![Rat::ZERO; n * np];
+            with_threads(threads, || {
+                kernel::with_target(KernelTarget::Auto, || ev.eval_batch_exact_into(&rows, &mut out))
+            });
+            prop_assert_eq!(&out, &reference, "public batch, threads {}", threads);
+        }
+    }
+
     /// The real sweep engines, end to end: exact folds are bit-identical
     /// with the fixed kernel on and off; `f64` folds are bit-identical
     /// across scalar/AVX2/auto; the FMA run stays within the *sound*
@@ -529,6 +719,199 @@ fn fixed_kernel_boundary_is_exact() {
         fixed_out[1],
         Rat::new(10i128.pow(21) + 1, 10i128.pow(9)) // 10¹² + 10⁻⁹
     );
+}
+
+/// Tier boundaries: in `P0 = a + b`, `P1 = a − b` the row bound is
+/// `2·max(|a|, |b|)` (unit coefficients, degree 1, two terms), so rows
+/// at `2⁶² − 1` / `2⁶²` and `2¹²⁶ − 1` / `2¹²⁶` sit just below / on each
+/// tier limit. `a + b = 2⁶³` would wrap in `i64` lanes and must not be
+/// computed there. A batch that is not a multiple of the lane width,
+/// cycling through every tier, must match the plain `Rat` walk too.
+#[test]
+fn fixed_tier_boundaries_are_exact() {
+    let mut reg = VarRegistry::new();
+    let set = parse_polyset("P0 = a + b\nP1 = a - b", &mut reg).unwrap();
+    let ev: BatchEvaluator<Rat> = BatchEvaluator::compile(&set);
+    let prog = ev.program();
+    let fp = prog.fixed_program().expect("unit program lowers");
+    let int = |x: i128| Rat::new(x, 1);
+    let cases = [
+        (int((1 << 62) - 1), int((1 << 62) - 1), FixedTier::I64),
+        (int(1 << 62), int(1 << 62), FixedTier::I128),
+        (int(-(1 << 62)), int(1 << 62), FixedTier::I128),
+        (int((1 << 126) - 1), int((1 << 126) - 1), FixedTier::I128),
+        (int(1 << 126), int(1 - (1 << 126)), FixedTier::Rat),
+        (Rat::new(7, 3), Rat::new(-5, 2), FixedTier::I64),
+    ];
+    let mut scratch = FixedScratch::new();
+    for (a, b, tier) in cases {
+        let row = vec![a, b];
+        assert_eq!(fp.tier(prog, &row), tier, "row {a:?}, {b:?}");
+        let want = prog.eval_scenario(&row);
+        let mut got = vec![Rat::ZERO; 2];
+        let lowered = fp.eval_scenario_into(prog, &row, &mut got, &mut scratch);
+        assert_eq!(lowered, tier != FixedTier::Rat);
+        if lowered {
+            assert_same_rats(&got, &want, "one row");
+        }
+    }
+    assert_eq!(
+        prog.eval_scenario(&[int(1 << 62), int(1 << 62)])[0],
+        int(1 << 63)
+    );
+
+    // 37 rows (two full lane groups and a ragged one), tiers interleaved
+    // so every lane group of each tier is a different mix of rows.
+    let n = 37;
+    assert_ne!(n % FIXED_LANES, 0);
+    let rows: Vec<Vec<Rat>> = (0..n)
+        .map(|k| {
+            let (a, b, _) = cases[(k * 5) % cases.len()];
+            vec![a, b]
+        })
+        .collect();
+    let mut reference = vec![Rat::ZERO; 2 * n];
+    for (k, row) in rows.iter().enumerate() {
+        prog.eval_scenario_into(row, &mut reference[2 * k..2 * k + 2]);
+    }
+    let mut batch = vec![Rat::ZERO; 2 * n];
+    fp.eval_rows_into(prog, &rows, &mut batch, &mut scratch);
+    assert_same_rats(&batch, &reference, "mixed batch");
+    for threads in THREAD_MATRIX {
+        for t in [KernelTarget::Auto, KernelTarget::Scalar] {
+            let mut out = vec![Rat::ZERO; 2 * n];
+            with_threads(threads, || {
+                kernel::with_target(t, || ev.eval_batch_exact_into(&rows, &mut out))
+            });
+            assert_same_rats(&out, &reference, &format!("target {t} threads {threads}"));
+        }
+    }
+}
+
+/// The fine bound at its limits. In `P0 = a⁸ + b`, `P1 = c` a large `b`
+/// makes the coarse bound `max|c·S|·M⁸·2` astronomically loose (`10¹²⁰`
+/// at `a = 2`, `b = 10¹⁵`), so every row below except the last takes
+/// the per-polynomial bound, whose limits are `(1 − 2⁻²⁰)·2⁶³` =
+/// `2⁶³ − 2⁴³` and `2¹²⁷ − 2¹⁰⁷`. A huge row denominator still forces
+/// the `Rat` walk, and a coefficient past `i64` keeps a row out of the
+/// `i64` tier even when its term vanishes.
+#[test]
+fn fine_bound_tiers_are_exact() {
+    let mut reg = VarRegistry::new();
+    let set = parse_polyset("P0 = 1*a^8 + 1*b\nP1 = 1*c", &mut reg).unwrap();
+    let ev: BatchEvaluator<Rat> = BatchEvaluator::compile(&set);
+    let prog = ev.program();
+    let fp = prog.fixed_program().expect("unit program lowers");
+    let int = |x: i128| Rat::new(x, 1);
+    let one = int(1);
+    let cases = [
+        (int(2), int(10i128.pow(15)), FixedTier::I64),
+        (one, int(1 << 62), FixedTier::I64),
+        (one, int((1 << 63) - (1 << 44)), FixedTier::I64),
+        (one, int((1 << 63) - (1 << 42)), FixedTier::I128),
+        (one, int(-(1 << 100)), FixedTier::I128),
+        (one, int(i128::MAX - (1 << 108) + 1), FixedTier::I128),
+        (one, int(i128::MAX - (1 << 106) + 1), FixedTier::Rat),
+        (int(1000), Rat::new(1, 1_000_000_000), FixedTier::Rat),
+        (int(3), Rat::new(1, 7), FixedTier::I64),
+    ];
+    let mut scratch = FixedScratch::new();
+    let mut rows = Vec::new();
+    for (a, b, tier) in cases {
+        let row = vec![a, b, one];
+        assert_eq!(fp.tier(prog, &row), tier, "row {a:?}, {b:?}");
+        let want = prog.eval_scenario(&row);
+        let mut got = vec![Rat::ZERO; 2];
+        let lowered = fp.eval_scenario_into(prog, &row, &mut got, &mut scratch);
+        assert_eq!(lowered, tier != FixedTier::Rat);
+        if lowered {
+            assert_same_rats(&got, &want, "one row");
+        }
+        rows.push(row);
+    }
+    // 37 rows cycling every case: lane groups of each tier, ragged ends.
+    let rows: Vec<Vec<Rat>> = (0..37)
+        .map(|k| rows[(k * 4) % rows.len()].clone())
+        .collect();
+    let mut reference = vec![Rat::ZERO; 2 * rows.len()];
+    for (k, row) in rows.iter().enumerate() {
+        prog.eval_scenario_into(row, &mut reference[2 * k..2 * k + 2]);
+    }
+    let mut batch = vec![Rat::ZERO; reference.len()];
+    fp.eval_rows_into(prog, &rows, &mut batch, &mut scratch);
+    assert_same_rats(&batch, &reference, "mixed batch");
+
+    // `c·S = 10¹⁹` needs `i128` storage; with `a = 0` its term vanishes
+    // and the fine bound is 2⁴⁰, but the row must stay out of `i64`.
+    let set = parse_polyset("P0 = 10000000000000000000*a^8 + 1*b", &mut reg).unwrap();
+    let ev: BatchEvaluator<Rat> = BatchEvaluator::compile(&set);
+    let prog = ev.program();
+    let fp = prog.fixed_program().expect("i128 coefficients lower");
+    let row = vec![Rat::ZERO, int(1 << 40)];
+    assert_eq!(fp.tier(prog, &row), FixedTier::I128);
+    let mut got = vec![Rat::ZERO; 1];
+    assert!(fp.eval_scenario_into(prog, &row, &mut got, &mut scratch));
+    assert_same_rats(&got, &prog.eval_scenario(&row), "i128 coefficients");
+}
+
+/// Tier coverage at the benchmark's shape: telephony provenance (one
+/// polynomial per zip, plan × month monomials with decimal prices),
+/// the Fig. 2 tree at the paper's bound scaled to 64 zips, and
+/// 1,024 single-variable perturbations by factors 0.800–1.200. Every
+/// scenario row — so every divergence probe — of both the full and
+/// the compressed side takes the `i64` tier.
+#[test]
+fn paper_shaped_probe_rows_take_the_i64_tier() {
+    let zips = 64;
+    let config = TelephonyConfig {
+        customers: zips * 1_000_000 / 1055,
+        zips,
+        months: 12,
+        seed: 3,
+    };
+    let mut reg = VarRegistry::new();
+    let (polys, _, _) = Telephony::direct_polyset(config, &mut reg);
+    let mut s = CobraSession::new(reg, polys);
+    s.add_tree_text(FIG2_TREE).unwrap();
+    s.compress_frontier().unwrap();
+    s.select_bound(94_600 * zips as u64 / 1055).unwrap();
+
+    let vars: Vec<String> = PLANS
+        .iter()
+        .map(|(_, v)| (*v).to_owned())
+        .chain((1..=12).map(|m| format!("m{m}")))
+        .collect();
+    let scenarios: Vec<Valuation<Rat>> = (0..1024)
+        .map(|k| {
+            let mut val = Valuation::with_default(Rat::ONE);
+            let var = s.registry_mut().var(&vars[k % vars.len()]);
+            val.set(var, Rat::new(800 + (k as i128 * 37) % 401, 1000));
+            val
+        })
+        .collect();
+    let set = ScenarioSet::from_valuations(scenarios);
+
+    let abstraction = s.abstraction().unwrap();
+    let engines = CompiledComparison::compile(s.polynomials(), &abstraction.compressed);
+    let full = engines.full.program();
+    let comp = engines.compressed.program();
+    let (full_fp, comp_fp) = (full.fixed_program().unwrap(), comp.fixed_program().unwrap());
+    let mut binder = PairBinder::new(&engines, &abstraction.meta_vars, s.base_valuation(), &set);
+    let mut full_row = vec![Rat::ZERO; full.num_locals()];
+    let mut comp_row = vec![Rat::ZERO; comp.num_locals()];
+    for i in 0..set.len() {
+        binder.bind_pair_into(i, &mut full_row, &mut comp_row);
+        assert_eq!(
+            full_fp.tier(full, &full_row),
+            FixedTier::I64,
+            "full side, scenario {i}"
+        );
+        assert_eq!(
+            comp_fp.tier(comp, &comp_row),
+            FixedTier::I64,
+            "compressed side, scenario {i}"
+        );
+    }
 }
 
 /// `SessionInfo` reports the kernel the calling thread resolves —

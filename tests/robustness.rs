@@ -14,6 +14,7 @@
 use std::time::Duration;
 
 use cobra::core::folds::{MergeFold, SweepFold};
+use cobra::core::scenario::F64_PROBES;
 use cobra::core::{
     CobraSession, CoreError, FoldItem, ScenarioSet, StopReason, SweepBudget, SweepOutcome,
 };
@@ -139,6 +140,84 @@ fn capped_f64_partial_matches_sequential_including_divergence() {
                 );
             }
         }
+    });
+}
+
+/// The evenly spaced probe indices of an `n`-scenario `f64` sweep, as
+/// [`F64_PROBES`] documents them: `k·(n−1)/(F64_PROBES−1)`.
+fn probe_indices(n: usize) -> Vec<usize> {
+    let mut p: Vec<usize> = (0..F64_PROBES)
+        .map(|k| k * (n - 1) / (F64_PROBES - 1))
+        .collect();
+    p.dedup();
+    p
+}
+
+/// Deferred probes: a scenario cap landing one before, on, or one after
+/// a probe index — and a zero deadline — yields a partial whose
+/// divergence record counts exactly the probes inside the completed
+/// prefix, with bits identical between the sequential engine and the
+/// span engine at 1, 2 and 4 threads.
+#[test]
+fn deferred_probes_count_exactly_the_completed_prefix() {
+    with_faults(FaultPlan::default(), || {
+        let mut s = session();
+        let set = grid(&mut s, 60, 40); // 2400 scenarios, blocks of 1024
+        let n = set.len();
+        let probes = probe_indices(n);
+        assert_eq!(probes.len(), F64_PROBES);
+        let run = |budget: SweepBudget| {
+            let (seq, seq_div) = s
+                .sweep_fold_f64_budgeted(&set, budget.clone(), Trace::default(), |mut t, item| {
+                    t.accept(item);
+                    t
+                })
+                .unwrap();
+            for threads in [1, 2, 4] {
+                let (par_outcome, par_div) = par::with_threads(threads, || {
+                    s.sweep_fold_f64_par_budgeted(&set, budget.clone(), Trace::default())
+                        .unwrap()
+                });
+                assert_eq!(par_outcome, seq, "{threads} threads");
+                assert_eq!(par_div.probed, seq_div.probed, "{threads} threads");
+                assert_eq!(
+                    par_div.max_rel_divergence.to_bits(),
+                    seq_div.max_rel_divergence.to_bits(),
+                    "{threads} threads"
+                );
+            }
+            (seq, seq_div)
+        };
+
+        let (full, full_div) = run(SweepBudget::unlimited());
+        assert!(full.is_complete());
+        assert_eq!(full_div.probed, F64_PROBES);
+        assert!(
+            full_div.max_rel_divergence > 0.0,
+            "decimal coefficients round in f64"
+        );
+
+        for &p in &[probes[1], probes[7], probes[8], probes[F64_PROBES - 1]] {
+            // cap p: the prefix ends one before the probe; p + 1: on it;
+            // p + 2: one after it.
+            for cap in [p, p + 1, p + 2] {
+                let (outcome, div) = run(SweepBudget::unlimited().with_scenario_cap(cap));
+                let done = cap.min(n);
+                assert_eq!(outcome.scenarios_done().unwrap_or(n), done, "cap {cap}");
+                let want = probes.iter().filter(|&&q| q < done).count();
+                assert_eq!(div.probed, want, "cap {cap}");
+                if want == 0 {
+                    assert_eq!(div.max_rel_divergence, 0.0);
+                }
+                assert!(div.max_rel_divergence <= full_div.max_rel_divergence);
+            }
+        }
+
+        let (outcome, div) = run(SweepBudget::unlimited().with_deadline(Duration::ZERO));
+        assert_eq!(outcome.stop_reason(), Some(StopReason::Deadline));
+        assert_eq!(outcome.scenarios_done(), Some(0));
+        assert_eq!(div.probed, 0);
+        assert_eq!(div.max_rel_divergence.to_bits(), 0.0f64.to_bits());
     });
 }
 
